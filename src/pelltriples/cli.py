@@ -18,13 +18,11 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .gdgroup import NormalizedSolution, make_element
 from .oracle import sweep_csv_rows, verify_sweep
 from .quadform import enumerate_class_group
 from .solutions import (
-    Factorization,
     check_applicability,
     count_solutions,
     describe_solutions,
@@ -55,15 +53,17 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _format_factorization(fact: Factorization) -> str:
-    if not fact.terms:
-        return str(fact.sign)
-    body = " * ".join(f"zeta_{p}^{e}" for p, e in fact.terms)
-    return f"-{body}" if fact.sign < 0 else body
+def _format_factorization(fact: dict) -> str:
+    """A {"sign", "terms"} factorization as sign * zeta_p^e * ..."""
+    if not fact["terms"]:
+        return str(fact["sign"])
+    body = " * ".join(f"zeta_{p}^{e}" for p, e in fact["terms"])
+    return f"-{body}" if fact["sign"] < 0 else body
 
 
-def _pack_terms(fact: Factorization) -> str:
-    return ";".join(f"{p}^{e}" for p, e in fact.terms)
+def _pack_terms(fact: dict) -> str:
+    """A {"sign", "terms"} factorization's terms as p^e;p^e;..."""
+    return ";".join(f"{p}^{e}" for p, e in fact["terms"])
 
 
 def _cmd_check(args) -> int:
@@ -126,7 +126,7 @@ def _solution_csv_row(writer, report: dict) -> None:
                 entry["a"],
                 entry["b"],
                 fact["sign"],
-                ";".join(f"{p}^{e}" for p, e in fact["terms"]),
+                _pack_terms(fact),
             ]
         )
 
@@ -143,14 +143,9 @@ def _cmd_solve(args) -> int:
         n = report["count"]
         print(f"D = {args.D}, c = {args.c}: {n} solution{'s' if n != 1 else ''}")
         for entry in report["solutions"]:
-            fact = Factorization(
-                args.D,
-                entry["factorization"]["sign"],
-                tuple(tuple(t) for t in entry["factorization"]["terms"]),
-            )
             print(
                 f"  ({entry['a']}, {entry['b']}, {entry['c']})"
-                f"  =  {_format_factorization(fact)}"
+                f"  =  {_format_factorization(entry['factorization'])}"
             )
     return 0
 
@@ -170,7 +165,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_factor(args) -> int:
     z = make_element(args.D, args.a, args.b, args.c)
-    fact = factor_element(z)
+    fact = factor_element(z).to_json_dict()
     if args.format == "json":
         _print_json(
             {
@@ -178,13 +173,13 @@ def _cmd_factor(args) -> int:
                 "a": z.a,
                 "b": z.b,
                 "c": z.c,
-                "factorization": fact.to_json_dict(),
+                "factorization": fact,
             }
         )
     elif args.format == "csv":
         writer = _csv_writer()
         writer.writerow(["D", "a", "b", "c", "sign", "factorization"])
-        writer.writerow([z.D, z.a, z.b, z.c, fact.sign, _pack_terms(fact)])
+        writer.writerow([z.D, z.a, z.b, z.c, fact["sign"], _pack_terms(fact)])
     else:
         print(f"{z} = {_format_factorization(fact)}")
     return 0
@@ -205,19 +200,10 @@ def _cmd_mul(args) -> int:
     return 0
 
 
-def _table_reports(D: int, c_max: int, threads: int) -> list[dict]:
-    odd_cs = range(3, c_max + 1, 2)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda c: describe_solutions(D, c), odd_cs))
-    else:
-        reports = [describe_solutions(D, c) for c in odd_cs]
-    return [r for r in reports if r["count"] > 0]
-
-
 def _cmd_table(args) -> int:
     require_applicable(args.D)
-    reports = _table_reports(args.D, args.cmax, args.threads)
+    reports = [describe_solutions(args.D, c) for c in range(3, args.cmax + 1, 2)]
+    reports = [r for r in reports if r["count"] > 0]
     if args.format == "json":
         rows = [
             {"c": r["c"], "count": r["count"], "solutions": r["solutions"]}
@@ -240,7 +226,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    summary = verify_sweep(args.D, args.cmax, threads=args.threads)
+    summary = verify_sweep(args.D, args.cmax)
     if args.format == "json":
         _print_json(
             {
@@ -346,14 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="solution table for odd c up to --cmax")
     p.add_argument("D", type=int)
     p.add_argument("--cmax", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     _add_format(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="brute-force cross-check up to --cmax")
     p.add_argument("D", type=int)
     p.add_argument("--cmax", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -10,7 +10,6 @@ does so for every odd hypotenuse up to a bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,21 +90,13 @@ def cross_check(D: int, c: int) -> OracleReport:
     return OracleReport(D, c, found, AGREE if agrees else DISAGREE)
 
 
-def verify_sweep(D: int, c_max: int, threads: int = 1) -> SweepSummary:
-    """cross_check every odd c in [3, c_max] for an applicable D.
-
-    Fan-out across c is safe (each check is pure); results merge in c
-    order regardless of thread count.
-    """
+def verify_sweep(D: int, c_max: int) -> SweepSummary:
+    """cross_check every odd c in [3, c_max] for an applicable D, in c
+    order."""
     require_applicable(D)
     if c_max < 1:
         raise ValueError(f"c_max = {c_max} must be a positive integer")
-    odd_cs = range(3, c_max + 1, 2)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda c: cross_check(D, c), odd_cs))
-    else:
-        reports = [cross_check(D, c) for c in odd_cs]
+    reports = [cross_check(D, c) for c in range(3, c_max + 1, 2)]
 
     rows = tuple(
         SweepRow(

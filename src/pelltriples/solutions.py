@@ -7,8 +7,12 @@ hypotenuses c whose prime factors p all satisfy (-D/p) = +1 carry exactly
 2^(k-1) normalized solutions (k = number of distinct primes of c). The
 solutions are built multiplicatively from elementary factors
 zeta_p = (x0 + y0*sqrt(-D))/p, and conversely every norm-1 element with
-hypotenuse c > 1 factors as +/- a product of zeta powers, with the
-exponent signs decided by divisibility in Z[sqrt(-D)].
+hypotenuse c > 1 factors uniquely as +/- a product of zeta powers.
+
+Enumeration builds each solution from a sign pattern over the zeta_p, so
+it knows every solution's factorization by construction; divisibility in
+Z[sqrt(-D)] decides the exponent signs only in factor_element, which
+factors elements supplied from outside.
 
 Outside the admissible D the 2^(k-1) law genuinely fails (D = 26, c = 5
 has a positive Legendre symbol but no solution), so those D raise
@@ -30,6 +34,7 @@ from .errors import (
 from .gdgroup import (
     GroupElement,
     NormalizedSolution,
+    conjugate,
     multiply,
     pow as element_pow,
     to_normalized,
@@ -135,15 +140,25 @@ def require_applicable(D: int) -> Applicability:
     return verdict
 
 
-def solution_exists(D: int, c: int) -> bool:
-    """True iff a normalized solution with hypotenuse c exists: c odd,
-    c > 1, and (-D/p) = +1 for every prime p of c."""
+def _split_factors(D: int, c: int) -> tuple[tuple[int, int], ...] | None:
+    """The prime powers of c when normalized solutions with hypotenuse c
+    exist (c odd, c > 1, and (-D/p) = +1 for every prime p of c), else
+    None. Factors c exactly once."""
     require_applicable(D)
     if c < 1:
         raise ValueError(f"c = {c} must be a positive integer")
     if c == 1 or c % 2 == 0:
-        return False
-    return all(legendre(-D, p) == 1 for p, _ in factorize(c).factors)
+        return None
+    primes = factorize(c).factors
+    if any(legendre(-D, p) != 1 for p, _ in primes):
+        return None
+    return primes
+
+
+def solution_exists(D: int, c: int) -> bool:
+    """True iff a normalized solution with hypotenuse c exists: c odd,
+    c > 1, and (-D/p) = +1 for every prime p of c."""
+    return _split_factors(D, c) is not None
 
 
 @lru_cache(maxsize=None)
@@ -200,18 +215,6 @@ def divides(u: tuple[int, int], v: tuple[int, int], D: int) -> tuple[int, int] |
     return (real // norm, imag // norm)
 
 
-def _zpow(x: int, y: int, n: int, D: int) -> tuple[int, int]:
-    """(x + y*sqrt(-D))^n as an integer pair, n >= 0."""
-    rx, ry = 1, 0
-    bx, by = x, y
-    while n:
-        if n & 1:
-            rx, ry = rx * bx - D * ry * by, rx * by + bx * ry
-        bx, by = bx * bx - D * by * by, 2 * bx * by
-        n >>= 1
-    return rx, ry
-
-
 def factor_element(z: GroupElement) -> Factorization:
     """Express z as sign * product of zeta_p^(+/- alpha) over the prime
     powers p^alpha of its hypotenuse.
@@ -232,10 +235,10 @@ def factor_element(z: GroupElement) -> Factorization:
     current = (z.a, z.b)
     terms = []
     for p, alpha in primes:
-        zf = zeta(z.D, p)
-        w = _zpow(zf.x0, zf.y0, alpha, z.D)
-        quotient = divides(w, current, z.D)
-        conj_quotient = divides((w[0], -w[1]), current, z.D)
+        # The numerator of zeta_p^alpha is prime to p, so it is not reduced.
+        w = element_pow(zeta(z.D, p).to_element(), alpha)
+        quotient = divides((w.a, w.b), current, z.D)
+        conj_quotient = divides((w.a, -w.b), current, z.D)
         assert (quotient is None) != (conj_quotient is None), (
             f"exactly-one divisibility failed at p = {p} for {z}"
         )
@@ -257,42 +260,48 @@ def recompose(factorization: Factorization) -> GroupElement:
     return result
 
 
-def enumerate_solutions(D: int, c: int) -> set[NormalizedSolution]:
-    """All normalized solutions with hypotenuse c; empty when none exist.
+def _factored_solutions(D: int, c: int) -> dict[NormalizedSolution, Factorization]:
+    """Each normalized solution with hypotenuse c, with its factorization.
 
-    The representatives are zeta_{p1}^a1 * zeta_{p2}^(e2*a2) * ... with the
+    The products are zeta_{p1}^a1 * zeta_{p2}^(e2*a2) * ... with the
     smallest prime's exponent fixed positive and the other signs free, one
-    per sign pattern: 2^(k-1) in total.
+    per sign pattern: 2^(k-1) in total. Normalizing a product
+    z = (A + B*sqrt(-D))/c to (|A|, |B|, c) multiplies it by sign(A), and
+    conjugates it, which negates every exponent, when A and B differ in
+    sign.
     """
-    require_applicable(D)
-    if c < 1:
-        raise ValueError(f"c = {c} must be a positive integer")
-    if c == 1 or c % 2 == 0:
-        return set()
-    primes = factorize(c).factors
-    if any(legendre(-D, p) != 1 for p, _ in primes):
-        return set()
-
+    primes = _split_factors(D, c)
+    if primes is None:
+        return {}
     p1, alpha1 = primes[0]
-    lead = element_pow(zeta(D, p1).to_element(), alpha1)
-    products = [lead]
+    products = [(element_pow(zeta(D, p1).to_element(), alpha1), (alpha1,))]
     for p, alpha in primes[1:]:
         zp = element_pow(zeta(D, p).to_element(), alpha)
         products = [
-            multiply(z, factor) for z in products for factor in (zp, element_pow(zp, -1))
+            (multiply(z, factor), exps + (e,))
+            for z, exps in products
+            for factor, e in ((zp, alpha), (conjugate(zp), -alpha))
         ]
-    found = {to_normalized(z) for z in products}
+    found = {}
+    for z, exps in products:
+        flip = 1 if (z.a > 0) == (z.b > 0) else -1
+        terms = tuple((p, flip * e) for (p, _), e in zip(primes, exps))
+        found[to_normalized(z)] = Factorization(D, 1 if z.a > 0 else -1, terms)
     assert len(found) == 1 << (len(primes) - 1), f"count law violated at D={D}, c={c}"
     assert all(s.c == c for s in found)
     return found
 
 
+def enumerate_solutions(D: int, c: int) -> set[NormalizedSolution]:
+    """All normalized solutions with hypotenuse c; empty when none exist."""
+    return set(_factored_solutions(D, c))
+
+
 def count_solutions(D: int, c: int) -> int:
     """2^(k-1) over the k distinct primes of c when solutions exist, else 0;
     computed arithmetically, not by enumeration."""
-    if not solution_exists(D, c):
-        return 0
-    return 1 << (factorize(c).distinct_prime_count - 1)
+    primes = _split_factors(D, c)
+    return 0 if primes is None else 1 << (len(primes) - 1)
 
 
 def multiply_solutions(
@@ -315,18 +324,13 @@ def multiply_solutions(
 def describe_solutions(D: int, c: int) -> dict:
     """JSON-ready report: count plus each solution with its factorization,
     sorted by b ascending (b determines a, so this is a total order)."""
-    found = sorted(enumerate_solutions(D, c), key=lambda s: s.b)
+    found = _factored_solutions(D, c)
     return {
         "D": D,
         "c": c,
-        "count": count_solutions(D, c),
+        "count": len(found),
         "solutions": [
-            {
-                "a": s.a,
-                "b": s.b,
-                "c": s.c,
-                "factorization": factor_element(s.to_element()).to_json_dict(),
-            }
-            for s in found
+            {"a": s.a, "b": s.b, "c": s.c, "factorization": found[s].to_json_dict()}
+            for s in sorted(found, key=lambda s: s.b)
         ],
     }

@@ -14,13 +14,21 @@ import pytest
 
 from pelltriples.arith import factorize, legendre
 from pelltriples.errors import UnsupportedClassGroupError
-from pelltriples.gdgroup import GroupElement, conjugate, gamma_orbit, identity, multiply
+from pelltriples.gdgroup import (
+    GroupElement,
+    NormalizedSolution,
+    conjugate,
+    gamma_orbit,
+    identity,
+    multiply,
+)
 from pelltriples.gdgroup import pow as element_pow
 from pelltriples.oracle import brute_force_solutions
 from pelltriples.quadform import QuadForm, enumerate_class_group
 from pelltriples.solutions import (
     check_applicability,
     count_solutions,
+    describe_solutions,
     divides,
     enumerate_solutions,
     factor_element,
@@ -140,6 +148,15 @@ def test_extended_check_d210(sweeps):
 @criterion("factorization-round-trip")
 def test_factorization_round_trip(sweeps):
     assert len(sweeps["solutions"]) > 2500
+    # describe_solutions knows each factorization by construction;
+    # factor_element rediscovers it by divisibility, independently.
+    built = {}
+    for (D, c), (found, _) in {**sweeps["desk"], **sweeps["extended"]}.items():
+        if found:
+            for entry in describe_solutions(D, c)["solutions"]:
+                s = NormalizedSolution(D, entry["a"], entry["b"], entry["c"])
+                built[s] = entry["factorization"]
+    assert set(built) == set(sweeps["solutions"])
     for s in sweeps["solutions"]:
         z = s.to_element()
         fact = factor_element(z)
@@ -147,6 +164,7 @@ def test_factorization_round_trip(sweeps):
         assert {p: abs(e) for p, e in fact.terms} == {
             p: a for p, a in factorize(s.c).factors
         }
+        assert built[s] == fact.to_json_dict(), s
 
 
 @criterion("group-law-property-suite")
