@@ -168,7 +168,8 @@ def hensel_lift(D: int, p: int, target_exponent: int) -> int:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle variant)."""
+    """A nontrivial factor of odd composite n (Floyd's cycle finding, one
+    gcd per step)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):

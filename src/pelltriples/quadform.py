@@ -3,15 +3,17 @@ discriminant K = b^2 - 4ac < 0.
 
 Provides reduction to the unique reduced class representative, Dirichlet
 composition (made total on primitive forms via an equivalent-representative
-fallback), class group enumeration for K = 0 (mod 4), element orders, and
-the test that every class has order at most 2.
+fallback), class group enumeration for K = 0 (mod 4), and the test that
+every class has order at most 2. That test needs no composition: a class
+has order at most 2 exactly when its reduced form is ambiguous (Gauss's
+genus theory). Element orders are computed only when a caller asks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import factorize
 
@@ -48,6 +50,13 @@ class QuadForm:
         a, b, c = self.a, self.b, self.c
         return abs(b) <= a <= c and (b >= 0 or (abs(b) != a and a != c))
 
+    @property
+    def is_ambiguous(self) -> bool:
+        """b = 0, b = a or a = c: on a reduced form, exactly when the form
+        is its own inverse's reduced representative, so its class has
+        order at most 2."""
+        return self.b == 0 or self.b == self.a or self.a == self.c
+
     def conjugate(self) -> "QuadForm":
         """The inverse class's representative [a, -b, c]."""
         return QuadForm(self.a, -self.b, self.c)
@@ -61,15 +70,34 @@ class QuadForm:
 
 @dataclass(frozen=True)
 class ClassGroupDescriptor:
-    """The full class group of a discriminant: reduced forms in lexicographic
-    order, each class's order, and whether every order is at most 2 (the
-    free-Z2-module condition the solution theory hinges on)."""
+    """The full class group of a discriminant: its reduced forms in
+    lexicographic order.
+
+    is_free_z2 (every class has order at most 2, the free-Z2-module
+    condition the solution theory hinges on) holds when every reduced form
+    is ambiguous. orders is computed on first access and then kept.
+    """
 
     K: int
     reduced_forms: tuple[QuadForm, ...]
-    class_number: int
-    orders: dict[QuadForm, int]
-    is_free_z2: bool
+
+    @property
+    def class_number(self) -> int:
+        return len(self.reduced_forms)
+
+    @property
+    def is_free_z2(self) -> bool:
+        return all(f.is_ambiguous for f in self.reduced_forms)
+
+    @cached_property
+    def orders(self) -> dict[QuadForm, int]:
+        """Each class's order: 1 for the identity, 2 for any other
+        ambiguous form, iterated composition only for the rest."""
+        identity = identity_form(self.K)
+        return {
+            f: 1 if f == identity else 2 if f.is_ambiguous else element_order(f)
+            for f in self.reduced_forms
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,11 +227,10 @@ def element_order(f: QuadForm) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_class_group(K: int) -> ClassGroupDescriptor:
-    """All reduced forms of discriminant K = 0 (mod 4), their orders, and
-    the free-Z2 verdict.
+    """All reduced forms of discriminant K = 0 (mod 4).
 
     Scans a <= sqrt(|K|/3) and even |b| <= a, keeping primitive reduced
-    forms with integral c.
+    forms with integral c; the scan yields them in (a, b) order.
     """
     if K >= 0 or K % 4 != 0:
         raise ValueError(f"K = {K} is not a negative discriminant divisible by 4")
@@ -220,12 +247,4 @@ def enumerate_class_group(K: int) -> ClassGroupDescriptor:
             if math.gcd(a, math.gcd(b, c)) != 1:
                 continue
             forms.append(QuadForm(a, b, c))
-    forms.sort()
-    orders = {f: element_order(f) for f in forms}
-    return ClassGroupDescriptor(
-        K=K,
-        reduced_forms=tuple(forms),
-        class_number=len(forms),
-        orders=orders,
-        is_free_z2=all(n <= 2 for n in orders.values()),
-    )
+    return ClassGroupDescriptor(K=K, reduced_forms=tuple(forms))

@@ -71,6 +71,13 @@ class TestQuadForm:
     def test_conjugate(self):
         assert QuadForm(3, 2, 9).conjugate() == QuadForm(3, -2, 9)
 
+    def test_is_ambiguous(self):
+        assert QuadForm(2, 0, 13).is_ambiguous
+        assert QuadForm(2, 2, 7).is_ambiguous
+        assert QuadForm(5, 4, 5).is_ambiguous
+        assert not QuadForm(3, 2, 9).is_ambiguous
+        assert not QuadForm(3, -2, 9).is_ambiguous
+
 
 class TestReduce:
     def test_known_reductions(self):
@@ -133,6 +140,12 @@ class TestElementOrder:
         assert element_order(QuadForm(5, 2, 7)) == 4
         assert element_order(QuadForm(2, 0, 5)) == 2
 
+    def test_orders_agree_with_iterated_composition(self):
+        for D in range(1, 301):
+            desc = enumerate_class_group(-4 * D)
+            for f in desc.reduced_forms:
+                assert desc.orders[f] == element_order(f)
+
     def test_lagrange(self):
         for K in KNOWN_CLASS_NUMBERS:
             desc = enumerate_class_group(K)
@@ -178,6 +191,12 @@ class TestEnumerateClassGroup:
         desc = enumerate_class_group(-136)
         assert not desc.is_free_z2
         assert desc.orders[QuadForm(5, 2, 7)] == 4
+
+    def test_descriptor_hashable(self):
+        desc = enumerate_class_group(-20)
+        assert desc.orders[QuadForm(2, 2, 3)] == 2
+        assert hash(desc) == hash(ClassGroupDescriptor(-20, desc.reduced_forms))
+        assert {desc: 1}[desc] == 1
 
     def test_rejects_bad_discriminant(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from pelltriples import quadform
 from pelltriples.arith import factorize, legendre
 from pelltriples.errors import (
     NotRepresentableError,
@@ -26,6 +27,14 @@ from pelltriples.solutions import (
     zeta,
 )
 
+# Euler's 65 idoneal numbers (OEIS A000926).
+IDONEAL = (
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 18, 21, 22, 24, 25, 28,
+    30, 33, 37, 40, 42, 45, 48, 57, 58, 60, 70, 72, 78, 85, 88, 93, 102, 105,
+    112, 120, 130, 133, 165, 168, 177, 190, 210, 232, 240, 253, 273, 280,
+    312, 330, 345, 357, 385, 408, 462, 520, 760, 840, 1320, 1365, 1848,
+)
+
 APPLICABLE_D_UP_TO_60 = [
     D for D in range(2, 61) if check_applicability(D).applicable
 ]
@@ -33,6 +42,20 @@ APPLICABLE_D_UP_TO_60 = [
 
 def _primes_below(limit):
     return [p for p in range(3, limit, 2) if all(p % q for q in range(3, p, 2))]
+
+
+def _square_free(n):
+    return all(n % (q * q) for q in range(2, math.isqrt(n) + 1))
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the verdict and class-group caches before and after a test."""
+    check_applicability.cache_clear()
+    quadform.enumerate_class_group.cache_clear()
+    yield
+    check_applicability.cache_clear()
+    quadform.enumerate_class_group.cache_clear()
 
 
 def _brute_zeta_candidates(D, p):
@@ -71,6 +94,32 @@ class TestCheckApplicability:
         assert verdict.reason == (
             "class group of discriminant -104 is not a free Z2-module"
         )
+
+    def test_applicable_d_are_the_square_free_idoneal_numbers(self, fresh_caches):
+        assert len(IDONEAL) == 65
+        expected = {
+            D for D in IDONEAL if D > 1 and D % 4 in (1, 2) and _square_free(D)
+        }
+        assert len(expected) == 33 and max(expected) == 1365
+        applicable = {D for D in range(1, 5001) if check_applicability(D).applicable}
+        assert applicable == expected
+
+    def test_verdict_composes_nothing(self, fresh_caches, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the verdict must not compose forms")
+
+        monkeypatch.setattr(quadform, "compose", refuse)
+        monkeypatch.setattr(quadform, "element_order", refuse)
+        for D, applicable in (
+            (26, False),
+            (34, False),
+            (210, True),
+            (1365, True),
+            (10**6 + 1, False),
+        ):
+            verdict = check_applicability(D)
+            assert verdict.applicable == applicable
+            assert verdict.free_z2 == applicable
 
     def test_d1_distinct_reason(self):
         verdict = check_applicability(1)
