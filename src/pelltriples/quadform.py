@@ -91,13 +91,8 @@ class ClassGroupDescriptor:
 
     @cached_property
     def orders(self) -> dict[QuadForm, int]:
-        """Each class's order: 1 for the identity, 2 for any other
-        ambiguous form, iterated composition only for the rest."""
-        identity = identity_form(self.K)
-        return {
-            f: 1 if f == identity else 2 if f.is_ambiguous else element_order(f)
-            for f in self.reduced_forms
-        }
+        """Each class's order, by iterated composition."""
+        return {f: element_order(f) for f in self.reduced_forms}
 
     def to_json_dict(self) -> dict:
         return {

