@@ -231,6 +231,34 @@ GOLDEN_STDOUT = [
     ("verify 13 --cmax 1501 --format json", "db097612cdfaa18f58c6c474c195a70062ed81136d048d644110ae2e9dc97f0a"),
     ("factor 2 -7 4 9", "234725ba8c38bdc8506b248b4bf91b11d8d45d7049498d3de1c5240b3e21333e"),
     ("factor 5 11 -8 21 --format json", "d20a5dd561c70904c19bdf41394980ca3b2daa87180792e8fd1ea0725f965bae"),
+    ("check 10", "3a873aca0bc654f897d8c4121bc2b8f2bbacadfbf11411dd6eceb8a9eee03f4e"),
+    ("check 10 --format json", "e561eb2e869d93f4c87e8fa3fae197337cbd7c52950070c7a7223d61eb3655ab"),
+    ("check 10 --format csv", "108a72b3bdd88a0a49d23bb619537f6ce550949ac096e0ff9b8aca8533901543"),
+    ("check 34", "010bedb0a7bf0cc26b562f2f42a76a2553bb9ec2791fb1af033ca6158884a9f1"),
+    ("check 34 --format json", "cb7a9053ba9e92e994209247e0df53a7dfa4eb2e68899a31cceafc13bd3578c2"),
+    ("check 34 --format csv", "29f7c37298af4583fb0da8c04d5668571956077a89d910ac44218d9c76e5722f"),
+    ("check 210", "cd687062b75c36fd8e29521e7de5d51a25308bd221776253e3409095f3359270"),
+    ("check 210 --format json", "1d524bf4357a8d15a8777694cdb3196e0ee2e2fc6f4417040373299af5bd8dd3"),
+    ("check 210 --format csv", "3126ef97b1294fefa3d2a7868df0b410cac2c6b8dfbf895a876544e37d920818"),
+    ("check 1 --format csv", "f89046cea60bf812ed9bf93d0261e85399732693aed704e66f944fc08cec722e"),
+    ("zeta 2 11", "64f9ba4bf4769ffa3809e5d0fb150fc072224b9ddd74995a44f31450c43042ab"),
+    ("zeta 5 7 --format json", "cbd5a3f8cc0aaca2420f396f1ffbfbdee06dc410d0de54bea84fd63b9a667577"),
+    ("zeta 210 1009 --format csv", "3bd6a2f16aaf898d4bbcb5f2b440f7966882506e3dacecdb2ca7a2af49822941"),
+    ("solve 2 15", "6f3537bbcba950b73463ef04323853626dae6540f1cf1eecbb642ff1264a59c7"),
+    ("solve 2 15 --format json", "cd01ada8384056358b2b8d431158b06d4a9d344dd575750692c593fd7f0b0109"),
+    ("solve 2 15 --format csv", "05776d59e8139cec35f0b407064bae52e002898f53270956e3d525dd7aad27c4"),
+    ("count 5 21", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("count 5 21 --format json", "d688bb9affe5e1a3d1adb3f8710aa1f51de3ae2fa56edb16ee991209c59302a1"),
+    ("count 5 21 --format csv", "1684a785a47e64c4dc31f906c12b0b4290be710fa0a3405e21ca9b0096218022"),
+    ("factor 5 11 -8 21 --format csv", "a88feff4d2a094b8ddccc2e70c1612436db343dd1106f35c38a8e9f6efd8f591"),
+    ("mul 2 1 2 3 7 6 11", "7d5c0b864c4b8994020a1e4fd86d02739e99890a494672c717fd08462643d0fe"),
+    ("mul 2 1 2 3 7 6 11 --format json", "3638dfd159359cb502fea2da9f7110d86847b08d93748481ee1b438d48e394ab"),
+    ("mul 2 1 2 3 7 6 11 --format csv", "b22501bd95274f9502ad325280c135cb551ef8f5592eb12a5ea3e406b4076742"),
+    ("table 2 --cmax 1", "9b09d25fb3f5b49a140120153b81cb52995c825b956ce0f3d000145e967c3dd4"),
+    ("table 2 --cmax 1 --format json", "1d0b4a53066de5dca008af88636ed8ac2ce016d160b7c97dbead33ac12159842"),
+    ("table 2 --cmax 1 --format csv", "b29833289cb266c070463c7434b9e3d9810558f8de0ce8f7c8eb6d04a2e1a5a8"),
+    ("verify 13 --cmax 1501", "26e006fd3a0773c646cbb85c63a18618e361341b5970c32a66d6b4d421e19ae1"),
+    ("verify 13 --cmax 1501 --format csv", "13e7d8c154c452f89e12d140446df6f49e21029e017e2494cb860a186a5d2e61"),
 ]
 
 
@@ -241,3 +269,19 @@ def test_golden_stdout(capsys, command, digest):
     code, out, err = run(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Exact stderr of domain errors: exit 2, nothing on stdout.
+DOMAIN_ERRORS = [
+    ("solve 26 5", "error: class group of discriminant -104 is not a free Z2-module\n"),
+    ("check -5", "error: D = -5 must be a positive integer\n"),
+    ("zeta 2 5", "error: (-2/5) = -1: p^2 has no primitive representation x^2 + 2*y^2\n"),
+    ("verify 26 --cmax 9", "error: class group of discriminant -104 is not a free Z2-module\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, stderr", DOMAIN_ERRORS, ids=[cmd for cmd, _ in DOMAIN_ERRORS]
+)
+def test_domain_error_stderr(capsys, command, stderr):
+    assert run(capsys, *command.split()) == (2, "", stderr)
