@@ -118,13 +118,3 @@ def verify_sweep(D: int, c_max: int) -> SweepSummary:
         rows=rows,
     )
 
-
-def sweep_csv_rows(summary: SweepSummary) -> list[str]:
-    """The sweep as CSV lines: D,c,k,theory_count,oracle_count,agree."""
-    lines = ["D,c,k,theory_count,oracle_count,agree"]
-    for row in summary.rows:
-        lines.append(
-            f"{row.D},{row.c},{row.k},{row.theory_count},"
-            f"{row.oracle_count},{str(row.agree).lower()}"
-        )
-    return lines

@@ -21,6 +21,11 @@ from .arith import factorize
 # package can enumerate comes anywhere near it.
 _ORDER_CAP = 10**4
 
+# Bound of the class-group and applicability caches: room for all 33
+# applicable D, so repeated work on them keeps hitting, while a scan over
+# many D no longer holds every descriptor for the life of the process.
+_CACHE_SIZE = 128
+
 
 @dataclass(frozen=True, order=True)
 class QuadForm:
@@ -220,7 +225,7 @@ def element_order(f: QuadForm) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def enumerate_class_group(K: int) -> ClassGroupDescriptor:
     """All reduced forms of discriminant K = 0 (mod 4).
 

@@ -39,7 +39,7 @@ from .gdgroup import (
     pow as element_pow,
     to_normalized,
 )
-from .quadform import enumerate_class_group
+from .quadform import _CACHE_SIZE, enumerate_class_group
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class Factorization:
         return {"sign": self.sign, "terms": [[p, e] for p, e in self.terms]}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def check_applicability(D: int) -> Applicability:
     """Residue class, square-freeness, and the class group condition for D."""
     if D < 1:

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pelltriples import cli
+from pelltriples import cli, quadform
 from pelltriples.solutions import describe_solutions
 
 
@@ -87,6 +91,16 @@ class TestCheck:
         lines = out.splitlines()
         assert lines[0] == "D,applicable,class_number,free_z2,reason"
         assert lines[1] == "10,true,2,true,"
+
+    def test_csv_computes_no_class_orders(self, capsys, monkeypatch):
+        def refuse(f):
+            raise AssertionError("check's CSV must not compute class orders")
+
+        monkeypatch.setattr(quadform, "element_order", refuse)
+        quadform.enumerate_class_group.cache_clear()
+        code, out, err = run(capsys, "check", "1000001", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("1000001,false,1032,false,")
 
 
 class TestZeta:
@@ -285,3 +299,21 @@ DOMAIN_ERRORS = [
 )
 def test_domain_error_stderr(capsys, command, stderr):
     assert run(capsys, *command.split()) == (2, "", stderr)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENTRY_POINT = [("count 5 21", 0, "2\n"), ("count 5 x", 1, ""), ("solve 26 5", 2, "")]
+
+
+@pytest.mark.parametrize(
+    "command, code, stdout", ENTRY_POINT, ids=[cmd for cmd, _, _ in ENTRY_POINT]
+)
+def test_module_entry_point(command, code, stdout):
+    done = subprocess.run(
+        [sys.executable, "-m", "pelltriples.cli", *command.split()],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (code, stdout)

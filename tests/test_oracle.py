@@ -11,7 +11,6 @@ from pelltriples.oracle import (
     NOT_APPLICABLE,
     brute_force_solutions,
     cross_check,
-    sweep_csv_rows,
     verify_sweep,
 )
 from pelltriples.solutions import factor_element, recompose
@@ -95,14 +94,6 @@ class TestVerifySweep:
     def test_rejects_bad_cmax(self):
         with pytest.raises(ValueError):
             verify_sweep(2, 0)
-
-    def test_csv_rows(self):
-        summary = verify_sweep(2, 9)
-        lines = sweep_csv_rows(summary)
-        assert lines[0] == "D,c,k,theory_count,oracle_count,agree"
-        assert lines[1] == "2,3,1,1,1,true"
-        assert lines[2] == "2,5,1,0,0,true"
-        assert lines[4] == "2,9,1,1,1,true"
 
 
 class TestOracleSolutionsFactor:

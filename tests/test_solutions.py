@@ -104,6 +104,20 @@ class TestCheckApplicability:
         applicable = {D for D in range(1, 5001) if check_applicability(D).applicable}
         assert applicable == expected
 
+    def test_caches_are_bounded(self, fresh_caches):
+        bound = quadform._CACHE_SIZE
+        for D in range(1, 2 * bound):
+            check_applicability(D)
+        for cached in (check_applicability, quadform.enumerate_class_group):
+            assert cached.cache_info().currsize <= bound
+        # The bound holds every applicable D: a second pass over them only hits.
+        applicable = [D for D in IDONEAL if check_applicability(D).applicable]
+        assert len(applicable) == 33
+        misses = check_applicability.cache_info().misses
+        for D in applicable:
+            check_applicability(D)
+        assert check_applicability.cache_info().misses == misses
+
     def test_verdict_composes_nothing(self, fresh_caches, monkeypatch):
         def refuse(*args):
             raise AssertionError("the verdict must not compose forms")
