@@ -273,6 +273,7 @@ GOLDEN_STDOUT = [
     ("table 2 --cmax 1 --format csv", "b29833289cb266c070463c7434b9e3d9810558f8de0ce8f7c8eb6d04a2e1a5a8"),
     ("verify 13 --cmax 1501", "26e006fd3a0773c646cbb85c63a18618e361341b5970c32a66d6b4d421e19ae1"),
     ("verify 13 --cmax 1501 --format csv", "13e7d8c154c452f89e12d140446df6f49e21029e017e2494cb860a186a5d2e61"),
+    ("check 1000001", "463764a7b68985543b9c307612b7654fa1bc9c28be211870ceb0a8d4058805ef"),
 ]
 
 

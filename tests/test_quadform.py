@@ -53,6 +53,28 @@ def _random_sl2(rng):
     return p, q, r, s
 
 
+def _power(f, n):
+    # f^n by repeated squaring, independent of the order walk.
+    result, base = identity_form(f.K), f
+    while n:
+        if n & 1:
+            result = compose(result, base)
+        base = compose(base, base)
+        n >>= 1
+    return result
+
+
+def _prime_divisors(n):
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
+
+
 class TestQuadForm:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
@@ -180,6 +202,15 @@ class TestEnumerateClassGroup:
             )
             assert desc.is_free_z2 == squares_trivial
             assert desc.is_free_z2 == all(n <= 2 for n in desc.orders.values())
+
+    def test_orders_exact(self):
+        # n is the order of f: f^n is the identity, no f^(n/q) for a prime q | n is.
+        for K in [-4 * D for D in range(1, 301)] + [-4 * (10**6 + 1)]:
+            desc = enumerate_class_group(K)
+            e = identity_form(K)
+            for f, n in desc.orders.items():
+                assert _power(f, n) == e
+                assert all(_power(f, n // q) != e for q in _prime_divisors(n))
 
     def test_non_free_example(self):
         desc = enumerate_class_group(-136)
