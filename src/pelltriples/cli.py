@@ -26,7 +26,7 @@ import sys
 from typing import Callable, Iterable, NamedTuple
 
 from .gdgroup import NormalizedSolution, make_element
-from .oracle import SweepRow, verify_sweep
+from .oracle import SweepRow, _require_sweep, verify_sweep
 from .quadform import enumerate_class_group
 from .solutions import (
     check_applicability,
@@ -34,7 +34,6 @@ from .solutions import (
     describe_solutions,
     factor_element,
     multiply_solutions,
-    require_applicable,
     zeta,
 )
 
@@ -180,7 +179,7 @@ def _mul(D: int, a1: int, b1: int, c1: int, a2: int, b2: int, c2: int) -> _Outpu
 
 
 def _table(D: int, cmax: int) -> _Output:
-    require_applicable(D)
+    _require_sweep(D, cmax)
     reports = (describe_solutions(D, c) for c in range(3, cmax + 1, 2))
     rows = [(r["c"], r["count"], r["solutions"]) for r in reports if r["count"] > 0]
     return _Output(

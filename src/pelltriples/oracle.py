@@ -90,12 +90,17 @@ def cross_check(D: int, c: int) -> OracleReport:
     return OracleReport(D, c, found, AGREE if agrees else DISAGREE)
 
 
-def verify_sweep(D: int, c_max: int) -> SweepSummary:
-    """cross_check every odd c in [3, c_max] for an applicable D, in c
-    order."""
+def _require_sweep(D: int, c_max: int) -> None:
+    """The checks of a sweep over odd c <= c_max: D applicable, c_max >= 1."""
     require_applicable(D)
     if c_max < 1:
         raise ValueError(f"c_max = {c_max} must be a positive integer")
+
+
+def verify_sweep(D: int, c_max: int) -> SweepSummary:
+    """cross_check every odd c in [3, c_max] for an applicable D, in c
+    order."""
+    _require_sweep(D, c_max)
     reports = [cross_check(D, c) for c in range(3, c_max + 1, 2)]
 
     rows = tuple(

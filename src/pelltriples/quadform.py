@@ -1,12 +1,14 @@
 """Primitive positive-definite binary quadratic forms [a, b, c] of
 discriminant K = b^2 - 4ac < 0.
 
-Provides reduction to the unique reduced class representative, Dirichlet
-composition (made total on primitive forms via an equivalent-representative
+Provides reduction to the unique reduced class representative,
+composition (Cohen's Algorithm 5.4.7, total on primitive forms with no
 fallback), class group enumeration for K = 0 (mod 4), and the test that
 every class has order at most 2. That test needs no composition: a class
 has order at most 2 exactly when its reduced form is ambiguous (Gauss's
-genus theory). Element orders are computed only when a caller asks.
+genus theory). Element orders are computed only when a caller asks, in
+one walk per cyclic subgroup: the powers f, f^2, ..., f^n = identity of a
+form give every f^i its order n / gcd(i, n), so no power is walked twice.
 """
 
 from __future__ import annotations
@@ -14,12 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-from .arith import factorize
-
-# Iterated composition gives up past this many steps; no class group this
-# package can enumerate comes anywhere near it.
-_ORDER_CAP = 10**4
 
 # Bound of the class-group and applicability caches: room for all 33
 # applicable D, so repeated work on them keeps hitting, while a scan over
@@ -96,8 +92,25 @@ class ClassGroupDescriptor:
 
     @cached_property
     def orders(self) -> dict[QuadForm, int]:
-        """Each class's order, by iterated composition."""
-        return {f: element_order(f) for f in self.reduced_forms}
+        """Each class's order, in reduced_forms order.
+
+        Walks the powers f, f^2, ..., f^n = identity of each form that no
+        earlier walk reached; f^i then has order n / gcd(i, n).
+        """
+        identity = identity_form(self.K)
+        found: dict[QuadForm, int] = {}
+        for f in self.reduced_forms:
+            if f in found:
+                continue
+            walk = [f]
+            while walk[-1] != identity:
+                if len(walk) >= self.class_number:
+                    raise ArithmeticError(f"powers of {f} outrun the class number")
+                walk.append(compose(walk[-1], f))
+            n = len(walk)
+            for i, g in enumerate(walk, 1):
+                found[g] = n // math.gcd(i, n)
+        return {f: found[f] for f in self.reduced_forms}
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,94 +148,33 @@ def reduce(f: QuadForm) -> QuadForm:
     return QuadForm(a, b, c)
 
 
-def _equivalent_with_coprime_leading(g: QuadForm, m: int) -> QuadForm:
-    """A form equivalent to g whose leading coefficient is coprime to m.
-
-    For each prime q | m at least one of g(1,0), g(0,1), g(1,1) is prime to q
-    (all three divisible would contradict primitivity), so gluing those
-    choices with the CRT yields a coprime represented value.
-    """
-    if math.gcd(g.a, m) == 1:
-        return g
-    x, y, modulus = 0, 0, 1
-    for q, _ in factorize(m).factors:
-        if g.a % q != 0:
-            xq, yq = 1, 0
-        elif g.c % q != 0:
-            xq, yq = 0, 1
-        else:
-            xq, yq = 1, 1
-        inv = pow(modulus, -1, q)
-        x += modulus * ((xq - x) * inv % q)
-        y += modulus * ((yq - y) * inv % q)
-        modulus *= q
-    # Nudge y within its residue class until the pair is unimodular.
-    while math.gcd(x, y) != 1:
-        y += modulus
-    u, v = _bezout(x, y)
-    a1 = g.value_at(x, y)
-    b1 = 2 * g.a * x * -v + g.b * (x * u - v * y) + 2 * g.c * y * u
-    c1 = g.value_at(-v, u)
-    return QuadForm(a1, b1, c1)
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """(u, v) with u*x + v*y = gcd(x, y) = 1."""
-    r0, r1, u0, u1 = x, y, 1, 0
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*x + v*y = g = gcd(x, y), for y > 0."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
         u0, u1 = u1, u0 - q * u1
-    v = (r0 - u0 * x) // y if y else 0
-    return u0, v
+        v0, v1 = v1, v0 - q * v1
+    return x, u0, v0
 
 
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """The reduced Dirichlet composition of the classes of f and g.
-
-    The direct formula needs gcd(a_f, a_g, (b_f + b_g)/2) = 1; when that
-    fails, g is first replaced by an equivalent form with leading
-    coefficient coprime to a_f, which restores the condition.
-    """
+    """The reduced composition of the classes of f and g, by Cohen's
+    Algorithm 5.4.7 (A Course in Computational Algebraic Number Theory,
+    section 5.4.2): total on primitive forms, with a second extended gcd
+    when gcd(a_f, a_g, (b_f + b_g)/2) > 1."""
     K = f.discriminant
     if g.discriminant != K:
         raise ValueError(f"discriminant mismatch: {K} vs {g.discriminant}")
-    if math.gcd(f.a, math.gcd(g.a, (f.b + g.b) // 2)) != 1:
-        g = _equivalent_with_coprime_leading(g, f.a)
-    a1, b1, a2, b2 = f.a, f.b, g.a, g.b
-
-    # B = b1 (mod 2*a1), B = b2 (mod 2*a2), B^2 = K (mod 4*a1*a2); the
-    # coprimality condition makes the first two solvable and exactly one
-    # of the d residues mod 2*a1*a2 satisfies the quadratic constraint.
-    d = math.gcd(a1, a2)
-    n = (b2 - b1) // 2
-    assert n % d == 0, "composition precondition violated"
-    step = a2 // d
-    t = (n // d) * pow(a1 // d, -1, step) % step if step > 1 else 0
-    candidate = b1 + 2 * a1 * t
-    period = 2 * a1 * a2 // d
-    for _ in range(d):
-        if (candidate * candidate - K) % (4 * a1 * a2) == 0:
-            break
-        candidate += period
-    else:
-        raise AssertionError("no admissible middle coefficient")  # pragma: no cover
-    B = candidate % (2 * a1 * a2)
-    C = (B * B - K) // (4 * a1 * a2)
-    return reduce(QuadForm(a1 * a2, B, C))
-
-
-def element_order(f: QuadForm) -> int:
-    """Smallest n >= 1 with f^n in the identity class."""
-    identity = identity_form(f.discriminant)
-    current = reduce(f)
-    order = 1
-    while current != identity:
-        current = compose(current, f)
-        order += 1
-        if order > _ORDER_CAP:
-            raise ArithmeticError(f"order of {f} exceeds {_ORDER_CAP}")
-    return order
+    s = (f.b + g.b) // 2
+    d, y1, _ = _xgcd(g.a, f.a)
+    d1, x2, v = _xgcd(s, d)
+    v1, v2 = f.a // d1, g.a // d1
+    # Cohen's y2 = -v and n = b_g - s, so his y1*y2*n is y1*v*(s - b_g).
+    r = (y1 * v * (s - g.b) - x2 * g.c) % v1
+    A, B = v1 * v2, g.b + 2 * v2 * r
+    return reduce(QuadForm(A, B, (B * B - K) // (4 * A)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

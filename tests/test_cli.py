@@ -93,10 +93,10 @@ class TestCheck:
         assert lines[1] == "10,true,2,true,"
 
     def test_csv_computes_no_class_orders(self, capsys, monkeypatch):
-        def refuse(f):
+        def refuse(f, g):
             raise AssertionError("check's CSV must not compute class orders")
 
-        monkeypatch.setattr(quadform, "element_order", refuse)
+        monkeypatch.setattr(quadform, "compose", refuse)
         quadform.enumerate_class_group.cache_clear()
         code, out, err = run(capsys, "check", "1000001", "--format", "csv")
         assert (code, err) == (0, "")
@@ -292,6 +292,8 @@ DOMAIN_ERRORS = [
     ("check -5", "error: D = -5 must be a positive integer\n"),
     ("zeta 2 5", "error: (-2/5) = -1: p^2 has no primitive representation x^2 + 2*y^2\n"),
     ("verify 26 --cmax 9", "error: class group of discriminant -104 is not a free Z2-module\n"),
+    ("table 2 --cmax -5", "error: c_max = -5 must be a positive integer\n"),
+    ("table 2 --cmax 0", "error: c_max = 0 must be a positive integer\n"),
 ]
 
 

@@ -10,7 +10,6 @@ from pelltriples.quadform import (
     ClassGroupDescriptor,
     QuadForm,
     compose,
-    element_order,
     enumerate_class_group,
     identity_form,
     reduce,
@@ -158,9 +157,9 @@ class TestCompose:
 
 class TestElementOrder:
     def test_known_orders(self):
-        assert element_order(QuadForm(1, 0, 26)) == 1
-        assert element_order(QuadForm(5, 2, 7)) == 4
-        assert element_order(QuadForm(2, 0, 5)) == 2
+        assert enumerate_class_group(-104).orders[QuadForm(1, 0, 26)] == 1
+        assert enumerate_class_group(-136).orders[QuadForm(5, 2, 7)] == 4
+        assert enumerate_class_group(-40).orders[QuadForm(2, 0, 5)] == 2
 
     def test_lagrange(self):
         for K in KNOWN_CLASS_NUMBERS:
@@ -249,11 +248,17 @@ class TestDescriptorInvariants:
             assert desc.orders[matches[0]] == 1
 
     def test_composition_total_without_dirichlet_condition(self):
-        # gcd(a_f, a_g, (b_f + b_g)/2) != 1 forces the fallback path.
-        rng = random.Random(5150)
+        # Pairs with gcd(a_f, a_g, (b_f + b_g)/2) > 1 take the second
+        # extended gcd of Cohen's Algorithm 5.4.7.
+        rng, third = random.Random(5150), random.Random(5151)
+        second_gcd = 0
         for _ in range(200):
             K = -4 * rng.randrange(1, 120)
             desc = enumerate_class_group(K)
             f = rng.choice(desc.reduced_forms)
             g = rng.choice(desc.reduced_forms)
+            k = third.choice(desc.reduced_forms)
+            second_gcd += math.gcd(f.a, math.gcd(g.a, (f.b + g.b) // 2)) > 1
             assert compose(f, g) in desc.reduced_forms
+            assert compose(compose(f, g), k) == compose(f, compose(g, k))
+        assert second_gcd > 0

@@ -123,7 +123,6 @@ class TestCheckApplicability:
             raise AssertionError("the verdict must not compose forms")
 
         monkeypatch.setattr(quadform, "compose", refuse)
-        monkeypatch.setattr(quadform, "element_order", refuse)
         for D, applicable in (
             (26, False),
             (34, False),
