@@ -274,6 +274,10 @@ GOLDEN_STDOUT = [
     ("verify 13 --cmax 1501", "26e006fd3a0773c646cbb85c63a18618e361341b5970c32a66d6b4d421e19ae1"),
     ("verify 13 --cmax 1501 --format csv", "13e7d8c154c452f89e12d140446df6f49e21029e017e2494cb860a186a5d2e61"),
     ("check 1000001", "463764a7b68985543b9c307612b7654fa1bc9c28be211870ceb0a8d4058805ef"),
+    ("verify 2 --cmax 10001 --format json", "0c18db3cc9c1374cbd21e88e597d34ddb6a3504a1e42a949b7e1a616d2efebff"),
+    ("verify 1365 --cmax 5001 --format csv", "130f3a12cd52202ca8b9882608b8bb9ec53c0cb3bd25cfe512585baad537aa99"),
+    ("table 5 --cmax 20001 --format csv", "8fc4f03b2bf49d3ba475b94a64a6236c6fd63758ef63c8fd86eb0df12896cebd"),
+    ("verify 1365 --cmax 3", "47ac417f2ce9f4a3a362933c25becd66b5a38b4b4268cae279a463764dffe648"),
 ]
 
 
