@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import NoSquareRootError
 
@@ -94,12 +94,17 @@ def _check_odd_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not an odd prime")
 
 
+def _legendre_prime(a: int, p: int) -> int:
+    """Euler's criterion for an odd p already proven prime."""
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) by Euler's criterion: 0 if p | a, +1 if a is a
     nonzero square mod p, -1 otherwise."""
     _check_odd_prime(p)
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return _legendre_prime(a, p)
 
 
 def sqrt_mod_p(a: int, p: int) -> int:
@@ -109,8 +114,13 @@ def sqrt_mod_p(a: int, p: int) -> int:
     Raises NoSquareRootError when a is not a nonzero residue.
     """
     _check_odd_prime(p)
+    return _sqrt_mod_prime(a, p)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """sqrt_mod_p for an odd p already proven prime."""
     a %= p
-    if legendre(a, p) != 1:
+    if _legendre_prime(a, p) != 1:
         raise NoSquareRootError(f"{a} is not a nonzero square modulo {p}")
 
     if p % 4 == 3:
@@ -123,7 +133,7 @@ def sqrt_mod_p(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while legendre(z, p) != -1:
+    while _legendre_prime(z, p) != -1:
         z += 1
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
@@ -151,14 +161,19 @@ def hensel_lift(D: int, p: int, target_exponent: int) -> int:
     The derivative 2s is a unit mod p since p is odd and p does not divide D.
     """
     _check_odd_prime(p)
+    return _hensel_lift(D, p, target_exponent)
+
+
+def _hensel_lift(D: int, p: int, target_exponent: int) -> int:
+    """hensel_lift for an odd p already proven prime."""
     if D < 1 or target_exponent < 1:
         raise ValueError("require D >= 1 and target_exponent >= 1")
     if D % p == 0:
         raise ValueError(f"p = {p} divides D = {D}; root of x^2 + D would not lift")
-    if legendre(-D, p) != 1:
+    if _legendre_prime(-D, p) != 1:
         raise NoSquareRootError(f"-{D} is not a square modulo {p}")
 
-    s = sqrt_mod_p(-D % p, p)
+    s = _sqrt_mod_prime(-D % p, p)
     pk = p
     for _ in range(target_exponent - 1):
         t = (-((s * s + D) // pk) * pow(2 * s, -1, p)) % p
@@ -224,6 +239,32 @@ def factorize(n: int) -> FactoredInteger:
             _factor_into(n, powers)
     factors = tuple(PrimePower(p, powers[p]) for p in sorted(powers))
     return FactoredInteger(value, factors)
+
+
+def _odd_factorizations(n_max: int) -> Iterator[FactoredInteger]:
+    """The factorization of each odd n in [3, n_max], ascending, from one
+    smallest-prime-factor sieve: n = p * m with p = spf(n) and m < n
+    factored already, so no n is divided twice. A p the sieve marks prime
+    has no odd factor up to its square root, so every prime is proven."""
+    # Smallest odd prime factor of 2i + 1 at index i, 0 when it is prime.
+    # Descending p leaves the smallest: a composite p marks only multiples
+    # that one of its prime factors marks again later.
+    spf = [0] * ((n_max + 1) // 2)
+    for p in reversed(range(3, math.isqrt(n_max) + 1, 2)):
+        start = p * p // 2
+        spf[start::p] = [p] * len(range(start, len(spf), p))
+    known = [()]  # factors of the odd m <= n_max / 3 at index m // 2
+    for i in range(1, len(spf)):
+        n = 2 * i + 1
+        p = spf[i] or n
+        rest = known[n // p // 2]
+        if rest and rest[0].prime == p:
+            factors = (PrimePower(p, rest[0].exponent + 1), *rest[1:])
+        else:
+            factors = (PrimePower(p, 1), *rest)
+        if 3 * n <= n_max:
+            known.append(factors)
+        yield FactoredInteger(n, factors)
 
 
 def is_square_free(n: int) -> bool:

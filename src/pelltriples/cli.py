@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Callable, Iterable, NamedTuple
@@ -29,6 +30,7 @@ from .gdgroup import NormalizedSolution, make_element
 from .oracle import SweepRow, _require_sweep, verify_sweep
 from .quadform import enumerate_class_group
 from .solutions import (
+    _odd_hypotenuses,
     check_applicability,
     count_solutions,
     describe_solutions,
@@ -180,7 +182,7 @@ def _mul(D: int, a1: int, b1: int, c1: int, a2: int, b2: int, c2: int) -> _Outpu
 
 def _table(D: int, cmax: int) -> _Output:
     _require_sweep(D, cmax)
-    reports = (describe_solutions(D, c) for c in range(3, cmax + 1, 2))
+    reports = (describe_solutions(D, n.value) for n in _odd_hypotenuses(cmax))
     rows = [(r["c"], r["count"], r["solutions"]) for r in reports if r["count"] > 0]
     return _Output(
         lambda: {
@@ -255,6 +257,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pelltriples",

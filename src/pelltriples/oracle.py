@@ -1,10 +1,13 @@
 """Brute-force ground truth for the solution counting theory.
 
-The oracle knows no number theory: it scans every candidate b, tests
+The oracle knows no number theory beyond divisibility, and shares no code
+with arith. brute_force_solutions scans every candidate b for one c, tests
 c^2 - D*b^2 for being a positive perfect square, and keeps the coprime
-hits. cross_check compares that exhaustive answer against the theorem-
-backed enumeration wherever the theory claims to apply, and verify_sweep
-does so for every odd hypotenuse up to a bound.
+hits; cross_check compares that exhaustive answer against the theorem-
+backed enumeration wherever the theory claims to apply. verify_sweep does
+so for every odd hypotenuse up to a bound, from one pass over b instead:
+each a^2 + D*b^2 = c^2 is a split D*b^2 = u*v with u = c - a < v = c + a
+of equal parity, so the divisors u of D*b^2 give every c at once.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith import factorize
 from .gdgroup import NormalizedSolution
 from .solutions import (
+    _odd_hypotenuses,
     check_applicability,
     count_solutions,
     enumerate_solutions,
@@ -97,29 +100,71 @@ def _require_sweep(D: int, c_max: int) -> None:
         raise ValueError(f"c_max = {c_max} must be a positive integer")
 
 
-def verify_sweep(D: int, c_max: int) -> SweepSummary:
-    """cross_check every odd c in [3, c_max] for an applicable D, in c
-    order."""
-    _require_sweep(D, c_max)
-    reports = [cross_check(D, c) for c in range(3, c_max + 1, 2)]
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[m] for 0 <= m <= n (spf[m] = m for m < 2 and for primes)."""
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
 
-    rows = tuple(
-        SweepRow(
-            D=D,
-            c=r.c,
-            k=factorize(r.c).distinct_prime_count,
-            theory_count=count_solutions(D, r.c),
-            oracle_count=len(r.solutions),
-            agree=r.agrees_with_theory == AGREE,
+
+def _prime_powers(m: int, spf: list[int], powers: dict[int, int]) -> None:
+    """Add the prime exponents of m >= 1 to powers."""
+    while m > 1:
+        p = spf[m]
+        powers[p] = powers.get(p, 0) + 1
+        m //= p
+
+
+def _scan_range(D: int, c_max: int) -> dict[int, list[NormalizedSolution]]:
+    """Every (a, b, c) with a^2 + D*b^2 = c^2, a, b >= 1, gcd(a, b, c) = 1
+    and c <= c_max, keyed by c and sorted by b ascending, from one pass
+    over b: each divisor u < v = D*b^2/u with u = v (mod 2) gives
+    c = (u + v)/2 and a = (v - u)/2."""
+    b_max = math.isqrt(max(c_max * c_max - 1, 0) // D)
+    spf = _smallest_prime_factors(max(b_max, D))
+    found: dict[int, list[NormalizedSolution]] = {}
+    for b in range(1, b_max + 1):
+        powers: dict[int, int] = {}
+        for m in (D, b, b):
+            _prime_powers(m, spf, powers)
+        divisors = [1]
+        for p, e in powers.items():
+            divisors = [u * p**i for u in divisors for i in range(e + 1)]
+        n = D * b * b
+        for u in divisors:
+            v = n // u
+            if u < v and (u - v) % 2 == 0 and u + v <= 2 * c_max:
+                a, c = (v - u) // 2, (u + v) // 2
+                if math.gcd(a, math.gcd(b, c)) == 1:
+                    found.setdefault(c, []).append(NormalizedSolution(D, a, b, c))
+    return found
+
+
+def verify_sweep(D: int, c_max: int) -> SweepSummary:
+    """Compare the theory against one oracle pass (_scan_range) on every
+    odd c in [3, c_max] for an applicable D, in c order."""
+    _require_sweep(D, c_max)
+    scanned = _scan_range(D, c_max)
+    rows, disagreements = [], []
+    for n in _odd_hypotenuses(c_max):
+        c = n.value
+        found = tuple(scanned.get(c, ()))
+        theory_count = count_solutions(D, c)
+        agree = set(found) == enumerate_solutions(D, c) and len(found) == theory_count
+        if not agree:
+            disagreements.append(OracleReport(D, c, found, DISAGREE))
+        rows.append(
+            SweepRow(D, c, n.distinct_prime_count, theory_count, len(found), agree)
         )
-        for r in reports
-    )
-    disagreements = tuple(r for r in reports if r.agrees_with_theory == DISAGREE)
     return SweepSummary(
         D=D,
         c_max=c_max,
         agreements=sum(row.agree for row in rows),
-        disagreements=disagreements,
-        rows=rows,
+        disagreements=tuple(disagreements),
+        rows=tuple(rows),
     )
 

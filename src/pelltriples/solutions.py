@@ -24,8 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
-from .arith import factorize, hensel_lift, is_prime, is_square_free, legendre
+from .arith import (
+    FactoredInteger,
+    _check_odd_prime,
+    _hensel_lift,
+    _legendre_prime,
+    _odd_factorizations,
+    factorize,
+    is_square_free,
+)
 from .errors import (
     NotFactorableError,
     NotRepresentableError,
@@ -40,6 +49,17 @@ from .gdgroup import (
     to_normalized,
 )
 from .quadform import _CACHE_SIZE, enumerate_class_group
+
+# zeta's cache holds every split prime below 2,000 of all 33 applicable D
+# (4,917 pairs) with room to spare.
+_ZETA_CACHE_SIZE = 8192
+
+# The hypotenuse a sweep is at, factored by arith's sieve (which proves its
+# primes), so the theory calls for that c need not factor it; 1 between
+# sweeps. Whatever a thread finds here is a proven factorization of its
+# own value, so a race between sweeps costs a factorize call, not an answer.
+_NO_SWEEP = FactoredInteger(1, ())
+_swept = _NO_SWEEP
 
 
 @dataclass(frozen=True)
@@ -143,16 +163,29 @@ def require_applicable(D: int) -> Applicability:
 def _split_factors(D: int, c: int) -> tuple[tuple[int, int], ...] | None:
     """The prime powers of c when normalized solutions with hypotenuse c
     exist (c odd, c > 1, and (-D/p) = +1 for every prime p of c), else
-    None. Factors c exactly once."""
+    None. Factors c at most once, and not at all at a sweep's current c."""
     require_applicable(D)
     if c < 1:
         raise ValueError(f"c = {c} must be a positive integer")
     if c == 1 or c % 2 == 0:
         return None
-    primes = factorize(c).factors
-    if any(legendre(-D, p) != 1 for p, _ in primes):
+    swept = _swept
+    primes = (swept if swept.value == c else factorize(c)).factors
+    if any(_legendre_prime(-D, p) != 1 for p, _ in primes):
         return None
     return primes
+
+
+def _odd_hypotenuses(c_max: int) -> Iterator[FactoredInteger]:
+    """Each odd c in [3, c_max], factored by arith's sieve and left where
+    _split_factors finds it: make the calls for c before taking the next."""
+    global _swept
+    try:
+        for n in _odd_factorizations(c_max):
+            _swept = n
+            yield n
+    finally:
+        _swept = _NO_SWEEP
 
 
 def solution_exists(D: int, c: int) -> bool:
@@ -161,7 +194,7 @@ def solution_exists(D: int, c: int) -> bool:
     return _split_factors(D, c) is not None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ZETA_CACHE_SIZE)
 def zeta(D: int, p: int) -> ZetaFactor:
     """The elementary solution for an odd prime p with (-D/p) = +1.
 
@@ -171,17 +204,16 @@ def zeta(D: int, p: int) -> ZetaFactor:
     unconditionally.
     """
     require_applicable(D)
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
+    _check_odd_prime(p)
     if D % p == 0:
         raise ValueError(f"p = {p} divides D = {D}")
-    if legendre(-D, p) != 1:
+    if _legendre_prime(-D, p) != 1:
         raise NotRepresentableError(
             f"(-{D}/{p}) = -1: p^2 has no primitive representation x^2 + {D}*y^2"
         )
 
     square = p * p
-    t = hensel_lift(D, p, 2)
+    t = _hensel_lift(D, p, 2)
     for root in (t, square - t):
         hi, lo = square, root
         while lo * lo > square:
@@ -228,7 +260,7 @@ def factor_element(z: GroupElement) -> Factorization:
         return Factorization(z.D, z.a, ())
     primes = factorize(z.c).factors
     for p, _ in primes:
-        if p == 2 or legendre(-z.D, p) != 1:
+        if p == 2 or _legendre_prime(-z.D, p) != 1:
             raise NotFactorableError(
                 f"hypotenuse prime {p} admits no elementary solution for D = {z.D}"
             )

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from pelltriples import arith
 from pelltriples.arith import (
     FactoredInteger,
     PrimePower,
@@ -132,6 +133,50 @@ class TestHenselLift:
     def test_rejects_non_residue(self):
         with pytest.raises(NoSquareRootError):
             hensel_lift(7, 3, 2)
+
+
+@pytest.fixture
+def primality_proofs(monkeypatch):
+    """The arguments of every is_prime call made during the test."""
+    calls = []
+    real = arith.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    return calls
+
+
+class TestPrimeProvenOnce:
+    # 1009 = 1 (mod 16) takes Tonelli-Shanks with a non-residue search,
+    # 1019 = 3 (mod 4) the a^((p+1)/4) shortcut.
+    @pytest.mark.parametrize("p", [1009, 1019])
+    def test_sqrt_mod_p(self, primality_proofs, p):
+        a = 2 * 2 % p
+        assert sqrt_mod_p(a, p) == 2
+        assert primality_proofs == [p]
+
+    @pytest.mark.parametrize("p", [1009, 1019])
+    def test_hensel_lift(self, primality_proofs, p):
+        D = next(D for D in range(1, p) if legendre(-D, p) == 1)
+        primality_proofs.clear()
+        s = hensel_lift(D, p, 3)
+        assert (s * s + D) % p**3 == 0
+        assert primality_proofs == [p]
+
+
+class TestOddFactorizations:
+    def test_matches_factorize(self):
+        assert [n.factors for n in arith._odd_factorizations(20001)] == [
+            factorize(n).factors for n in range(3, 20002, 2)
+        ]
+
+    def test_bounds(self):
+        for n_max in range(12):
+            want = list(range(3, n_max + 1, 2))
+            assert [n.value for n in arith._odd_factorizations(n_max)] == want
 
 
 class TestFactorize:

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from pelltriples import cli, quadform
-from pelltriples.solutions import describe_solutions
+from pelltriples import cli, quadform, solutions
+from pelltriples.solutions import check_applicability, describe_solutions
 
 
 def run(capsys, *argv):
@@ -222,6 +222,42 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "34", "--cmax", "9")
         assert code == 2
         assert "free Z2-module" in err
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    def test_factor_nothing_and_scan_no_single_c(self, capsys, monkeypatch, command):
+        def refuse(*args):
+            raise AssertionError("a sweep takes c from one sieve and one scan")
+
+        for D in (2, 5, 1365):
+            check_applicability(D)  # a cold verdict factors D
+        for target in (
+            "pelltriples.arith.factorize",
+            "pelltriples.solutions.factorize",
+            "pelltriples.oracle.brute_force_solutions",
+        ):
+            monkeypatch.setattr(target, refuse)
+        for D, fmt in ((2, "json"), (5, "csv"), (1365, "human")):
+            code, _, err = run(capsys, command, str(D), "--cmax", "301", "--format", fmt)
+            assert (code, err) == (0, "")
+            assert solutions._swept is solutions._NO_SWEEP
+
+    @pytest.mark.parametrize(
+        "D, cmax, rows",
+        [
+            (2, 1, []),
+            (2, 2, []),
+            (2, 3, ["2,3,1,1,1,true"]),
+            (1365, 1, []),
+            (1365, 2, []),
+            (1365, 3, ["1365,3,1,0,0,true"]),
+        ],
+    )
+    def test_verify_smallest_ranges(self, capsys, D, cmax, rows):
+        code, out, _ = run(capsys, "verify", str(D), "--cmax", str(cmax), "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["D,c,k,theory_count,oracle_count,agree", *rows]
 
 
 class TestDeterminism:

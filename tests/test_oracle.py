@@ -9,6 +9,7 @@ from pelltriples.oracle import (
     AGREE,
     DISAGREE,
     NOT_APPLICABLE,
+    _scan_range,
     brute_force_solutions,
     cross_check,
     verify_sweep,
@@ -42,6 +43,19 @@ class TestBruteForce:
             brute_force_solutions(0, 5)
         with pytest.raises(ValueError):
             brute_force_solutions(2, 0)
+
+
+class TestScanRange:
+    @pytest.mark.parametrize("D", [1, 2, 5, 26, 210, 1365])
+    def test_equals_brute_force_on_every_c(self, D):
+        found = _scan_range(D, 3001)
+        assert max(found) <= 3001
+        for c in range(1, 3002):
+            assert tuple(found.get(c, ())) == brute_force_solutions(D, c), c
+
+    def test_empty_b_range(self):
+        assert _scan_range(1365, 3) == {}
+        assert _scan_range(2, 1) == {}
 
 
 class TestCrossCheck:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from pelltriples import quadform
+from pelltriples import arith, quadform, solutions
 from pelltriples.arith import factorize, legendre
 from pelltriples.errors import (
     NotRepresentableError,
@@ -23,6 +23,7 @@ from pelltriples.solutions import (
     factor_element,
     multiply_solutions,
     recompose,
+    require_applicable,
     solution_exists,
     zeta,
 )
@@ -35,6 +36,7 @@ IDONEAL = (
     312, 330, 345, 357, 385, 408, 462, 520, 760, 840, 1320, 1365, 1848,
 )
 
+APPLICABLE_D = [D for D in IDONEAL if check_applicability(D).applicable]
 APPLICABLE_D_UP_TO_60 = [
     D for D in range(2, 61) if check_applicability(D).applicable
 ]
@@ -42,6 +44,18 @@ APPLICABLE_D_UP_TO_60 = [
 
 def _primes_below(limit):
     return [p for p in range(3, limit, 2) if all(p % q for q in range(3, p, 2))]
+
+
+def _sieve_primes(limit):
+    """The odd primes below limit."""
+    flags = bytearray([1]) * limit
+    for i in range(3, math.isqrt(limit) + 1, 2):
+        if flags[i]:
+            flags[i * i :: 2 * i] = bytes(len(flags[i * i :: 2 * i]))
+    return [i for i in range(3, limit, 2) if flags[i]]
+
+
+PRIMES_BELOW_2000 = _sieve_primes(2000)
 
 
 def _square_free(n):
@@ -212,6 +226,44 @@ class TestZeta:
     def test_validation(self):
         with pytest.raises(ValueError):
             ZetaFactor(2, 3, 2, 1)  # 4 + 2 != 9
+
+    @pytest.mark.parametrize("D, p", [(2, 1009), (5, 1009), (2, 1019), (210, 1021)])
+    def test_cold_zeta_proves_p_prime_once(self, monkeypatch, D, p):
+        require_applicable(D)  # a cold verdict may prove primes of its own
+        calls = []
+        real = arith.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        zeta.cache_clear()
+        zeta(D, p)
+        assert calls == [p]
+
+    def test_cache_is_bounded(self):
+        bound = solutions._ZETA_CACHE_SIZE
+        split = [
+            (D, p)
+            for D in APPLICABLE_D
+            for p in PRIMES_BELOW_2000
+            if D % p and legendre(-D, p) == 1
+        ]
+        # Every split prime below 2000 of every applicable D fits.
+        assert len(split) <= bound
+        zeta.cache_clear()
+        for D, p in split:
+            zeta(D, p)
+        misses = zeta.cache_info().misses
+        for D, p in split:
+            zeta(D, p)
+        assert zeta.cache_info().misses == misses
+        fresh = [p for p in _sieve_primes(25 * bound) if legendre(-2, p) == 1]
+        assert len(fresh) > bound
+        for p in fresh:
+            zeta(2, p)
+        assert zeta.cache_info().currsize == bound
 
 
 class TestDivides:
