@@ -79,6 +79,14 @@ class TestCrossCheck:
         assert report.agrees_with_theory == AGREE
         assert report.solutions == ()
 
+    def test_disagree_on_the_set_alone(self, monkeypatch):
+        # Same count, different solutions: only the set comparison sees it.
+        wrong = {NormalizedSolution(2, 7, 4, 9)}
+        monkeypatch.setattr("pelltriples.oracle.enumerate_solutions", lambda D, c: wrong)
+        report = cross_check(2, 3)
+        assert len(report.solutions) == 1
+        assert report.agrees_with_theory == DISAGREE
+
 
 class TestVerifySweep:
     def test_d2_small_sweep_clean(self):
