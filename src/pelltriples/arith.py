@@ -53,6 +53,17 @@ class FactoredInteger:
         return len(self.factors)
 
 
+class _ProvenFactoredInteger(FactoredInteger):
+    """A FactoredInteger whose primes are proven; equal to the plain one."""
+
+    def __eq__(self, other):
+        if not isinstance(other, FactoredInteger):
+            return NotImplemented
+        return (self.value, self.factors) == (other.value, other.factors)
+
+    __hash__ = FactoredInteger.__hash__
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with fixed witnesses).
 
@@ -238,7 +249,7 @@ def factorize(n: int) -> FactoredInteger:
         else:
             _factor_into(n, powers)
     factors = tuple(PrimePower(p, powers[p]) for p in sorted(powers))
-    return FactoredInteger(value, factors)
+    return _ProvenFactoredInteger(value, factors)
 
 
 def _odd_factorizations(n_max: int) -> Iterator[FactoredInteger]:
@@ -264,7 +275,7 @@ def _odd_factorizations(n_max: int) -> Iterator[FactoredInteger]:
             factors = (PrimePower(p, 1), *rest)
         if 3 * n <= n_max:
             known.append(factors)
-        yield FactoredInteger(n, factors)
+        yield _ProvenFactoredInteger(n, factors)
 
 
 def is_square_free(n: int) -> bool:

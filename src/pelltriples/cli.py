@@ -30,7 +30,7 @@ from .gdgroup import NormalizedSolution, make_element
 from .oracle import SweepRow, _require_sweep, verify_sweep
 from .quadform import enumerate_class_group
 from .solutions import (
-    _odd_hypotenuses,
+    _odd_factorizations,
     check_applicability,
     count_solutions,
     describe_solutions,
@@ -182,7 +182,7 @@ def _mul(D: int, a1: int, b1: int, c1: int, a2: int, b2: int, c2: int) -> _Outpu
 
 def _table(D: int, cmax: int) -> _Output:
     _require_sweep(D, cmax)
-    reports = (describe_solutions(D, n.value) for n in _odd_hypotenuses(cmax))
+    reports = (describe_solutions(D, n) for n in _odd_factorizations(cmax))
     rows = [(r["c"], r["count"], r["solutions"]) for r in reports if r["count"] > 0]
     return _Output(
         lambda: {

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .gdgroup import NormalizedSolution
 from .solutions import (
-    _odd_hypotenuses,
+    _odd_factorizations,
     check_applicability,
     count_solutions,
     enumerate_solutions,
@@ -150,11 +150,11 @@ def verify_sweep(D: int, c_max: int) -> SweepSummary:
     _require_sweep(D, c_max)
     scanned = _scan_range(D, c_max)
     rows, disagreements = [], []
-    for n in _odd_hypotenuses(c_max):
+    for n in _odd_factorizations(c_max):
         c = n.value
         found = tuple(scanned.get(c, ()))
-        theory_count = count_solutions(D, c)
-        agree = set(found) == enumerate_solutions(D, c) and len(found) == theory_count
+        theory_count = count_solutions(D, n)
+        agree = set(found) == enumerate_solutions(D, n) and len(found) == theory_count
         if not agree:
             disagreements.append(OracleReport(D, c, found, DISAGREE))
         rows.append(

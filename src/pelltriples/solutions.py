@@ -12,7 +12,8 @@ hypotenuse c > 1 factors uniquely as +/- a product of zeta powers.
 Enumeration builds each solution from a sign pattern over the zeta_p, so
 it knows every solution's factorization by construction; divisibility in
 Z[sqrt(-D)] decides the exponent signs only in factor_element, which
-factors elements supplied from outside.
+factors elements supplied from outside. A hypotenuse may come with its
+factorization as a value, so table and verify factor no c of a range.
 
 Outside the admissible D the 2^(k-1) law genuinely fails (D = 26, c = 5
 has a positive Legendre symbol but no solution), so those D raise
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .arith import (
     FactoredInteger,
@@ -32,6 +32,7 @@ from .arith import (
     _hensel_lift,
     _legendre_prime,
     _odd_factorizations,
+    _ProvenFactoredInteger,
     factorize,
     is_square_free,
 )
@@ -53,13 +54,6 @@ from .quadform import _CACHE_SIZE, enumerate_class_group
 # zeta's cache holds every split prime below 2,000 of all 33 applicable D
 # (4,917 pairs) with room to spare.
 _ZETA_CACHE_SIZE = 8192
-
-# The hypotenuse a sweep is at, factored by arith's sieve (which proves its
-# primes), so the theory calls for that c need not factor it; 1 between
-# sweeps. Whatever a thread finds here is a proven factorization of its
-# own value, so a race between sweeps costs a factorize call, not an answer.
-_NO_SWEEP = FactoredInteger(1, ())
-_swept = _NO_SWEEP
 
 
 @dataclass(frozen=True)
@@ -160,37 +154,32 @@ def require_applicable(D: int) -> Applicability:
     return verdict
 
 
-def _split_factors(D: int, c: int) -> tuple[tuple[int, int], ...] | None:
-    """The prime powers of c when normalized solutions with hypotenuse c
-    exist (c odd, c > 1, and (-D/p) = +1 for every prime p of c), else
-    None. Factors c at most once, and not at all at a sweep's current c."""
+def _split_factors(D: int, c: int | FactoredInteger) -> FactoredInteger | None:
+    """c's factorization when normalized solutions with hypotenuse c exist
+    (c odd, c > 1, and (-D/p) = +1 for every prime p of c), else None. Its
+    primes are proven before Euler's criterion reads them: by factorize or
+    arith's sieve, or here, once each, for any other FactoredInteger."""
     require_applicable(D)
-    if c < 1:
-        raise ValueError(f"c = {c} must be a positive integer")
-    if c == 1 or c % 2 == 0:
+    value = c.value if isinstance(c, FactoredInteger) else c
+    if value < 1:
+        raise ValueError(f"c = {value} must be a positive integer")
+    if value == 1 or value % 2 == 0:
         return None
-    swept = _swept
-    primes = (swept if swept.value == c else factorize(c)).factors
-    if any(_legendre_prime(-D, p) != 1 for p, _ in primes):
+    if not isinstance(c, FactoredInteger):
+        c = factorize(c)
+    elif not isinstance(c, _ProvenFactoredInteger):
+        for p, _ in c.factors:
+            _check_odd_prime(p)
+    if any(_legendre_prime(-D, p) != 1 for p, _ in c.factors):
         return None
-    return primes
+    return c
 
 
-def _odd_hypotenuses(c_max: int) -> Iterator[FactoredInteger]:
-    """Each odd c in [3, c_max], factored by arith's sieve and left where
-    _split_factors finds it: make the calls for c before taking the next."""
-    global _swept
-    try:
-        for n in _odd_factorizations(c_max):
-            _swept = n
-            yield n
-    finally:
-        _swept = _NO_SWEEP
-
-
-def solution_exists(D: int, c: int) -> bool:
+def solution_exists(D: int, c: int | FactoredInteger) -> bool:
     """True iff a normalized solution with hypotenuse c exists: c odd,
-    c > 1, and (-D/p) = +1 for every prime p of c."""
+    c > 1, and (-D/p) = +1 for every prime p of c. c is an int, factored at
+    most once, or a FactoredInteger; unless factorize made it, its primes
+    are proven once each before use, and a non-prime raises ValueError."""
     return _split_factors(D, c) is not None
 
 
@@ -292,7 +281,9 @@ def recompose(factorization: Factorization) -> GroupElement:
     return result
 
 
-def _factored_solutions(D: int, c: int) -> dict[NormalizedSolution, Factorization]:
+def _factored_solutions(
+    D: int, c: int | FactoredInteger
+) -> dict[NormalizedSolution, Factorization]:
     """Each normalized solution with hypotenuse c, with its factorization.
 
     The products are zeta_{p1}^a1 * zeta_{p2}^(e2*a2) * ... with the
@@ -302,9 +293,10 @@ def _factored_solutions(D: int, c: int) -> dict[NormalizedSolution, Factorizatio
     conjugates it, which negates every exponent, when A and B differ in
     sign.
     """
-    primes = _split_factors(D, c)
-    if primes is None:
+    n = _split_factors(D, c)
+    if n is None:
         return {}
+    c, primes = n.value, n.factors
     p1, alpha1 = primes[0]
     products = [(element_pow(zeta(D, p1).to_element(), alpha1), (alpha1,))]
     for p, alpha in primes[1:]:
@@ -324,16 +316,17 @@ def _factored_solutions(D: int, c: int) -> dict[NormalizedSolution, Factorizatio
     return found
 
 
-def enumerate_solutions(D: int, c: int) -> set[NormalizedSolution]:
-    """All normalized solutions with hypotenuse c; empty when none exist."""
+def enumerate_solutions(D: int, c: int | FactoredInteger) -> set[NormalizedSolution]:
+    """All normalized solutions with hypotenuse c (an int or a
+    FactoredInteger, as in solution_exists); empty when none exist."""
     return set(_factored_solutions(D, c))
 
 
-def count_solutions(D: int, c: int) -> int:
-    """2^(k-1) over the k distinct primes of c when solutions exist, else 0;
-    computed arithmetically, not by enumeration."""
-    primes = _split_factors(D, c)
-    return 0 if primes is None else 1 << (len(primes) - 1)
+def count_solutions(D: int, c: int | FactoredInteger) -> int:
+    """2^(k-1) over the k distinct primes of c (an int or a FactoredInteger,
+    as in solution_exists) when solutions exist, else 0, by arithmetic alone."""
+    n = _split_factors(D, c)
+    return 0 if n is None else 1 << (n.distinct_prime_count - 1)
 
 
 def multiply_solutions(
@@ -353,13 +346,14 @@ def multiply_solutions(
     return result
 
 
-def describe_solutions(D: int, c: int) -> dict:
-    """JSON-ready report: count plus each solution with its factorization,
-    sorted by b ascending (b determines a, so this is a total order)."""
+def describe_solutions(D: int, c: int | FactoredInteger) -> dict:
+    """JSON-ready report on c (an int or a FactoredInteger, as in
+    solution_exists; reported as an int): count plus each solution with its
+    factorization, sorted by b ascending (b determines a: a total order)."""
     found = _factored_solutions(D, c)
     return {
         "D": D,
-        "c": c,
+        "c": c.value if isinstance(c, FactoredInteger) else c,
         "count": len(found),
         "solutions": [
             {"a": s.a, "b": s.b, "c": s.c, "factorization": found[s].to_json_dict()}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pelltriples import cli, quadform, solutions
+from pelltriples import cli, quadform
 from pelltriples.solutions import check_applicability, describe_solutions
 
 
@@ -241,7 +241,6 @@ class TestSweeps:
         for D, fmt in ((2, "json"), (5, "csv"), (1365, "human")):
             code, _, err = run(capsys, command, str(D), "--cmax", "301", "--format", fmt)
             assert (code, err) == (0, "")
-            assert solutions._swept is solutions._NO_SWEEP
 
     @pytest.mark.parametrize(
         "D, cmax, rows",

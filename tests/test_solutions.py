@@ -455,3 +455,55 @@ class TestDescribeSolutions:
             "count": 0,
             "solutions": [],
         }
+
+
+THEORY = (solution_exists, count_solutions, enumerate_solutions, describe_solutions)
+FACTORIZE = ("pelltriples.arith.factorize", "pelltriples.solutions.factorize")
+
+
+def _refuse(monkeypatch, *targets):
+    """Make every call to the named functions fail."""
+
+    def refuse(*args):
+        raise AssertionError(f"refused call with {args}")
+
+    for target in targets:
+        monkeypatch.setattr(target, refuse)
+
+
+class TestFactoredHypotenuse:
+    @pytest.mark.parametrize("D", [2, 5, 1365])
+    def test_proven_values_answer_as_ints_without_factoring(self, monkeypatch, D):
+        odd = range(3, 3002, 2)
+        by_int = [[f(D, c) for f in THEORY] for c in odd]
+        factored = [arith.factorize(c) for c in odd]
+        # The int pass warmed every cache, so a proven value needs neither
+        # factorize nor a primality test.
+        _refuse(monkeypatch, *FACTORIZE, "pelltriples.arith.is_prime")
+        for values in (arith._odd_factorizations(3001), factored):
+            assert [[f(D, n) for f in THEORY] for n in values] == by_int
+
+    def test_user_built_value_has_its_primes_proven(self, monkeypatch):
+        by_int = [f(5, 21) for f in THEORY]
+        _refuse(monkeypatch, *FACTORIZE)
+        built = arith.FactoredInteger(21, ((3, 1), (7, 1)))
+        assert [f(5, built) for f in THEORY] == by_int
+        for f in THEORY:
+            with pytest.raises(ValueError, match="21 is not an odd prime"):
+                f(5, arith.FactoredInteger(21, ((21, 1),)))
+
+    def test_interleaved_sweeps(self, monkeypatch):
+        odd = range(3, 302, 2)
+        want_counts = {c: count_solutions(2, c) for c in odd}
+        want_found = {c: enumerate_solutions(1365, c) for c in odd[1:]}
+        _refuse(monkeypatch, *FACTORIZE)
+        first = arith._odd_factorizations(301)
+        second = arith._odd_factorizations(301)
+        next(second)
+        counts, found = {}, {}
+        for n in first:
+            counts[n.value] = count_solutions(2, n)
+            m = next(second, None)
+            if m is not None:
+                found[m.value] = enumerate_solutions(1365, m)
+        assert (counts, found) == (want_counts, want_found)
