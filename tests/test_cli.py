@@ -313,6 +313,7 @@ GOLDEN_STDOUT = [
     ("verify 1365 --cmax 5001 --format csv", "130f3a12cd52202ca8b9882608b8bb9ec53c0cb3bd25cfe512585baad537aa99"),
     ("table 5 --cmax 20001 --format csv", "8fc4f03b2bf49d3ba475b94a64a6236c6fd63758ef63c8fd86eb0df12896cebd"),
     ("verify 1365 --cmax 3", "47ac417f2ce9f4a3a362933c25becd66b5a38b4b4268cae279a463764dffe648"),
+    ("verify 2 --cmax 60001 --format csv", "5bd2e5fb6732d3ee513860a079e367494ec0fa9d39dce16437e351e35d43d370"),
 ]
 
 
