@@ -5,9 +5,10 @@ with arith. brute_force_solutions scans every candidate b for one c, tests
 c^2 - D*b^2 for being a positive perfect square, and keeps the coprime
 hits; cross_check compares that exhaustive answer against the theorem-
 backed enumeration wherever the theory claims to apply. verify_sweep does
-so for every odd hypotenuse up to a bound, from one pass over b instead:
-each a^2 + D*b^2 = c^2 is a split D*b^2 = u*v with u = c - a < v = c + a
-of equal parity, so the divisors u of D*b^2 give every c at once.
+so for every odd hypotenuse up to a bound, from one chord walk instead:
+the line through (-1, 0) with slope n/m meets x^2 + D*y^2 = 1 again at
+(m^2 - D*n^2, 2*m*n)/(m^2 + D*n^2), so each solution is exactly one
+coprime pair m > n*sqrt(D), n >= 1, divided by the gcd of its three terms.
 """
 
 from __future__ import annotations
@@ -100,47 +101,34 @@ def _require_sweep(D: int, c_max: int) -> None:
         raise ValueError(f"c_max = {c_max} must be a positive integer")
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    """spf[m] for 0 <= m <= n (spf[m] = m for m < 2 and for primes)."""
-    spf = list(range(n + 1))
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            for m in range(p * p, n + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
-
-
-def _prime_powers(m: int, spf: list[int], powers: dict[int, int]) -> None:
-    """Add the prime exponents of m >= 1 to powers."""
-    while m > 1:
-        p = spf[m]
-        powers[p] = powers.get(p, 0) + 1
-        m //= p
-
-
 def _scan_range(D: int, c_max: int) -> dict[int, list[NormalizedSolution]]:
     """Every (a, b, c) with a^2 + D*b^2 = c^2, a, b >= 1, gcd(a, b, c) = 1
-    and c <= c_max, keyed by c and sorted by b ascending, from one pass
-    over b: each divisor u < v = D*b^2/u with u = v (mod 2) gives
-    c = (u + v)/2 and a = (v - u)/2."""
-    b_max = math.isqrt(max(c_max * c_max - 1, 0) // D)
-    spf = _smallest_prime_factors(max(b_max, D))
+    and c <= c_max, keyed by c and sorted by b ascending, from one chord
+    walk over the coprime pairs (m, n) of the module docstring.
+
+    D must be square-free. Then the gcd g of the three terms divides
+    2*d with d = gcd(m, D): an odd prime of g divides m and D, and divides
+    m^2 + D*n^2 only once, and the 2-part of g is at most 2. So for each
+    d | D the walk steps m through the multiples of d with gcd(m, D) = d,
+    up to m^2 + D*n^2 <= 2*d*c_max.
+    """
+    assert all(D % (q * q) for q in range(2, math.isqrt(D) + 1)), D
     found: dict[int, list[NormalizedSolution]] = {}
-    for b in range(1, b_max + 1):
-        powers: dict[int, int] = {}
-        for m in (D, b, b):
-            _prime_powers(m, spf, powers)
-        divisors = [1]
-        for p, e in powers.items():
-            divisors = [u * p**i for u in divisors for i in range(e + 1)]
-        n = D * b * b
-        for u in divisors:
-            v = n // u
-            if u < v and (u - v) % 2 == 0 and u + v <= 2 * c_max:
-                a, c = (v - u) // 2, (u + v) // 2
-                if math.gcd(a, math.gcd(b, c)) == 1:
-                    found.setdefault(c, []).append(NormalizedSolution(D, a, b, c))
+    for d in (d for d in range(1, D + 1) if D % d == 0):
+        top = 2 * d * c_max
+        for m in range(d, math.isqrt(top) + 1, d):
+            if math.gcd(m, D) != d:
+                continue
+            mm = m * m
+            for n in range(1, math.isqrt(min(mm - 1, top - mm) // D) + 1):
+                if math.gcd(m, n) == 1:
+                    a, b, c = mm - D * n * n, 2 * m * n, mm + D * n * n
+                    g = math.gcd(a, b, c)
+                    if c <= g * c_max:
+                        solution = NormalizedSolution(D, a // g, b // g, c // g)
+                        found.setdefault(c // g, []).append(solution)
+    for solutions in found.values():
+        solutions.sort(key=lambda s: s.b)
     return found
 
 

@@ -1,5 +1,9 @@
 """Tests for the brute-force oracle and the theory cross-checks."""
 
+import builtins
+import dis
+import types
+
 import pytest
 
 from pelltriples.arith import factorize, legendre
@@ -56,6 +60,35 @@ class TestScanRange:
     def test_empty_b_range(self):
         assert _scan_range(1365, 3) == {}
         assert _scan_range(2, 1) == {}
+
+
+class TestChordWalk:
+    @pytest.mark.parametrize("D", [3, 6, 7, 10, 11, 14, 15, 21, 30])
+    def test_equals_brute_force_on_every_c_even_included(self, D):
+        # For D = 3 (mod 4), c can be even and the gcd g reaches 2*gcd(m, D):
+        # D = 3, m = 3, n = 1 gives (6, 6, 12)/6 = (1, 1, 2).
+        found = _scan_range(D, 1001)
+        for c in range(1, 1002):
+            assert tuple(found.get(c, ())) == brute_force_solutions(D, c), c
+
+    @pytest.mark.parametrize("D", [4, 12, 18])
+    def test_rejects_non_square_free_d(self, D):
+        with pytest.raises(AssertionError):
+            _scan_range(D, 100)
+
+    @pytest.mark.parametrize("function", [_scan_range, brute_force_solutions])
+    def test_reads_no_theory(self, function):
+        # The oracle's own passes read no global but math and
+        # NormalizedSolution, so they share no code with the theory.
+        codes, read = [function.__code__], set()
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            read |= {
+                i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"
+            }
+        assert read - set(vars(builtins)) <= {"math", "NormalizedSolution"}
+        assert "math" in read
 
 
 class TestCrossCheck:
