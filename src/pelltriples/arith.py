@@ -13,8 +13,13 @@ from typing import Iterator, NamedTuple
 
 from .errors import NoSquareRootError
 
-# Trial-division ceiling before handing cofactors to Pollard rho.
-_TRIAL_BOUND = 10**6
+# Trial division hands the cofactor to Miller-Rabin and Pollard rho past
+# _TRIAL_BOUND. One at or above the Miller-Rabin bound cannot be decided
+# there, so trial division goes on to _TRIAL_BOUND_OVER_MR while it stays
+# above the bound, and factorize refuses it if it is still there.
+_TRIAL_BOUND = 10**4
+_TRIAL_BOUND_OVER_MR = 10**6
+_RHO_BATCH = 128  # Pollard rho steps per gcd
 
 # Miller-Rabin is deterministic with these witnesses for n below this bound
 # (Sorenson & Webster, https://miller-rabin.appspot.com/).
@@ -106,7 +111,9 @@ def _check_odd_prime(p: int) -> None:
 
 
 def _legendre_prime(a: int, p: int) -> int:
-    """Euler's criterion for an odd p already proven prime."""
+    """Euler's criterion for an odd p already proven prime. p must be odd:
+    for p = 2 the exponent (p - 1) / 2 is 0, and every a would read -1."""
+    assert p % 2, "Euler's criterion needs an odd prime"
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
@@ -194,18 +201,29 @@ def _hensel_lift(D: int, p: int, target_exponent: int) -> int:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Floyd's cycle finding, one
-    gcd per step)."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of odd composite n by Brent's cycle finding
+    (Brent 1980): one gcd per _RHO_BATCH steps of x -> x^2 + c, and a
+    step-by-step replay of the batch when its gcd comes out as n."""
     for c in range(1, 100):
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(x - ys, n)
         if d != n:
             return d
     raise ArithmeticError(f"pollard rho failed on {n}")  # pragma: no cover
@@ -225,8 +243,10 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 def factorize(n: int) -> FactoredInteger:
     """Complete prime factorization of n >= 1, primes ascending.
 
-    Trial division up to 10^6, then deterministic Miller-Rabin plus
-    Pollard rho on any remaining cofactor.
+    Trial division up to 10^4, then deterministic Miller-Rabin plus
+    Pollard rho on any remaining cofactor. A cofactor at or above the
+    Miller-Rabin bound is trial-divided on up to 10^6 until it drops
+    below the bound; one still above it then raises ValueError.
     """
     if n < 1:
         raise ValueError(f"cannot factorize n = {n}; need n >= 1")
@@ -237,7 +257,9 @@ def factorize(n: int) -> FactoredInteger:
             powers[p] = powers.get(p, 0) + 1
             n //= p
     f = 5
-    while f <= _TRIAL_BOUND and f * f <= n:
+    while f * f <= n and (
+        f <= _TRIAL_BOUND or (f <= _TRIAL_BOUND_OVER_MR and n >= _MR_DETERMINISTIC_BOUND)
+    ):
         for p in (f, f + 2):  # 6k-1, 6k+1
             while n % p == 0:
                 powers[p] = powers.get(p, 0) + 1

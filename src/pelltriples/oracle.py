@@ -142,7 +142,9 @@ def verify_sweep(D: int, c_max: int) -> SweepSummary:
         c = n.value
         found = tuple(scanned.get(c, ()))
         theory_count = count_solutions(D, n)
-        agree = set(found) == enumerate_solutions(D, n) and len(found) == theory_count
+        # The split-prime check behind a count of 0 empties the set too.
+        theory = enumerate_solutions(D, n) if theory_count else set()
+        agree = set(found) == theory and len(found) == theory_count
         if not agree:
             disagreements.append(OracleReport(D, c, found, DISAGREE))
         rows.append(

@@ -78,6 +78,11 @@ class TestLegendre:
         with pytest.raises(ValueError):
             legendre(3, 2)
 
+    def test_euler_criterion_refuses_two(self):
+        # (2 - 1) / 2 = 0 would make every a read -1.
+        with pytest.raises(AssertionError):
+            arith._legendre_prime(1, 2)
+
 
 class TestSqrtModP:
     def test_all_residues_all_small_primes(self):
@@ -210,6 +215,39 @@ class TestFactorize:
     def test_prime_power_beyond_trial_bound(self):
         p = 1_000_003
         assert factorize(p * p).factors == (PrimePower(p, 2),)
+
+    def test_cofactor_above_mr_bound_of_primes_below_trial_limit(self):
+        # Trial division to 10^4 leaves the six primes, a cofactor above the
+        # Miller-Rabin bound, so it goes on dividing until it drops below.
+        six = (10007, 20011, 30011, 40009, 50021, 60013)
+        assert math.prod(six) > arith._MR_DETERMINISTIC_BOUND
+        n = factorize(3 * 11 * 17 * math.prod(six))
+        assert n.factors == tuple(PrimePower(p, 1) for p in (3, 11, 17) + six)
+
+    def test_cofactor_drops_below_mr_bound_partway(self):
+        # 500009 takes the cofactor below the bound; 700001 is left to rho.
+        rest = 700001 * 120000007 * 120000031
+        assert rest < arith._MR_DETERMINISTIC_BOUND <= 500009 * rest
+        n = factorize(500009 * rest)
+        assert [p for p, _ in n.factors] == [500009, 700001, 120000007, 120000031]
+
+    def test_refuses_cofactor_above_mr_bound_with_no_prime_below_10_6(self):
+        # Two small primes and four in (2^21, 2^24): a composite cofactor
+        # whose primality Miller-Rabin cannot decide.
+        huge = 2097169 * 2097211 * 16777199 * 16777213
+        assert huge >= arith._MR_DETERMINISTIC_BOUND
+        with pytest.raises(ValueError, match="bound"):
+            factorize(2557 * 2549 * huge)
+
+    @pytest.mark.parametrize("p", [10007, 1_000_003, 2**31 - 1])
+    def test_rho_splits_prime_squares(self, p):
+        assert arith._pollard_rho(p * p) == p
+        assert factorize(p * p).factors == (PrimePower(p, 2),)
+
+    def test_rho_splits_30_bit_semiprime(self):
+        p, q = 1073741783, 1073741789
+        assert arith._pollard_rho(p * q) in (p, q)
+        assert factorize(p * q).factors == (PrimePower(p, 1), PrimePower(q, 1))
 
     def test_distinct_prime_count(self):
         assert factorize(2 * 3 * 5 * 7).distinct_prime_count == 4

@@ -18,7 +18,7 @@ from pelltriples.oracle import (
     cross_check,
     verify_sweep,
 )
-from pelltriples.solutions import factor_element, recompose
+from pelltriples.solutions import enumerate_solutions, factor_element, recompose
 
 
 class TestBruteForce:
@@ -141,6 +141,27 @@ class TestVerifySweep:
                 assert row.oracle_count == 2 ** (fi.distinct_prime_count - 1)
             else:
                 assert row.oracle_count == 0
+
+    def test_enumerates_only_positive_counts(self, monkeypatch):
+        enumerated = []
+        real = enumerate_solutions
+        monkeypatch.setattr(
+            "pelltriples.oracle.enumerate_solutions",
+            lambda D, n: enumerated.append(n.value) or real(D, n),
+        )
+        summary = verify_sweep(2, 301)
+        assert summary.all_agree
+        assert enumerated == [r.c for r in summary.rows if r.theory_count]
+
+    def test_disagrees_where_the_theory_counts_zero(self, monkeypatch):
+        # (-2/5) = -1, so the theory counts 0 at c = 15.
+        monkeypatch.setattr(
+            "pelltriples.oracle._scan_range", lambda D, c_max: {**_scan_range(D, c_max), 15: ["x"]}
+        )
+        summary = verify_sweep(2, 21)
+        assert [(r.c, r.theory_count, r.oracle_count) for r in summary.rows if not r.agree] == [
+            (15, 0, 1)
+        ]
 
     def test_unsupported_d(self):
         with pytest.raises(UnsupportedClassGroupError):
